@@ -15,8 +15,8 @@ back toward per-stub / per-node Python.
   rounds to completion with a Δ+1 palette, validity-asserted.
 
 Unlike the E-series experiment tables this is not a paper-claim probe —
-it deliberately isolates the primitives the ROADMAP "Performance notes"
-rows measure.
+it deliberately isolates two hot primitives so their cost can be tracked
+on its own.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ def build_table():
             "root and the layer count equals the diameter ≈ log n)"
         )
     table.notes.append(
-        "substitutions (DESIGN.md §4.1-4.2): per-layer cost O(Δ²) instead of "
+        "substitutions: per-layer cost O(Δ²) instead of "
         "O(√Δ·polylog Δ); layer count O(R log n) instead of O(R²)"
     )
     return table

@@ -1,8 +1,8 @@
 """E8 — Lemma 20: the ruling-set toolbox.
 
 The paper's Lemma 20 collects four ruling-set constructions.  This bench
-measures the engines this reproduction substitutes for them (DESIGN.md
-§4.2-4.3) on a common workload: rounds charged, ruling-set size, and the
+measures the engines this reproduction substitutes for them on a common
+workload: rounds charged, ruling-set size, and the
 *measured* domination radius β (often far better than the guarantee).
 Also includes the MPX clustering used by the Lemma 24 substitute, and —
 since PR 3 — the ruling forest as it actually runs *inside* the

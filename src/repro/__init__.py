@@ -29,8 +29,6 @@ Quick start — everything routes through the unified solver facade
 The pre-facade entry points (:func:`delta_color`, the per-theorem
 ``delta_coloring_*`` functions, :func:`color_graph`, ...) remain as
 deprecated-but-stable wrappers over the same engines — see docs/API.md.
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured experiment index.
 """
 
 from repro.api import (

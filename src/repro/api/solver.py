@@ -14,6 +14,7 @@ bit-identical to ``workers=1``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from collections.abc import Iterable, Sequence
@@ -270,8 +271,8 @@ class SolverPool:
             for batch in batches:
                 results = solve_many(batch, config, pool=pool)
 
-    The pool lazily spawns on first use; :meth:`warm` forces the spawn
-    (and a no-op round-trip per worker) ahead of any timed region.
+    The pool lazily spawns on first use; :meth:`warm` spawns it and runs
+    one small solve on every worker ahead of any timed region.
     """
 
     def __init__(self, workers: int | None = None):
@@ -280,13 +281,22 @@ class SolverPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            context = multiprocessing.get_context()
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(context.Barrier(self.workers),),
+            )
         return self._executor
 
     def warm(self) -> "SolverPool":
-        """Spawn the workers now (outside any timed region)."""
+        """Spawn the workers and run one small solve on each, so lazy
+        imports land here and not in the first batch.  A barrier holds
+        each worker after its warm-up task until all have one, so no
+        worker takes two and none stays cold."""
         executor = self._ensure()
-        for _ in executor.map(_noop, range(self.workers)):
+        for _ in executor.map(_warm_task, range(self.workers)):
             pass
         return self
 
@@ -318,5 +328,21 @@ class SolverPool:
         self.close()
 
 
-def _noop(_: Any) -> None:
-    return None
+#: Node count of the Δ=8 warm-up solve: past the n=256 threshold of the
+#: scipy DCC-detection path, so the lazy ``scipy.sparse`` import is paid.
+WARM_SOLVE_N = 512
+
+_warm_barrier: Any = None
+
+
+def _init_worker(barrier: Any) -> None:
+    # Synchronisation primitives reach workers only by inheritance.
+    global _warm_barrier
+    _warm_barrier = barrier
+
+
+def _warm_task(_: Any) -> None:
+    from repro.graphs.generators import random_regular_graph
+
+    solve(random_regular_graph(WARM_SOLVE_N, 8, seed=0), SolverConfig(seed=0))
+    _warm_barrier.wait(120.0)

@@ -6,7 +6,7 @@ selected subgraphs form the virtual graph G_DCC (two subgraphs adjacent if
 they share a vertex or are joined by a G-edge), on which phase (2)
 computes a (2, β) ruling set whose components become the base layer B0.
 
-**Detection** (DESIGN.md §4.6): node v collects its radius-r ball (r LOCAL
+**Detection**: node v collects its radius-r ball (r LOCAL
 rounds), takes the block decomposition of the induced subgraph, and selects
 the first block containing v that is neither a clique nor an odd cycle.
 Such a block is 2-connected, hence a DCC (Definition 9), and lives inside
@@ -18,7 +18,7 @@ locally-tree-like workloads) is skipped without a block decomposition; the
 tree test counts in-ball edges through a reusable byte mask over the CSR
 adjacency, so no induced subgraph is materialised unless the ball actually
 contains a cycle.  This per-node loop is the single hottest path of the
-randomized pipeline — see the "Performance notes" section of ROADMAP.md.
+randomized pipeline.
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
 rounds *simulated through member nodes*: each live DCC draws a priority,

@@ -27,18 +27,20 @@ Deletions never create conflicts (removing constraints preserves
 properness), so they are O(delta-application) unless they lower Δ —
 a *smaller* palette contract — which forces a resolve.
 
-**Graph backends.**  Delta application has two modes, selected by the
-``backend`` parameter:
+**One delta path.**  Every op goes through one ``_apply``: apply the
+delta (the graph layer checks it), read the new Δ, run the ladder once.
+Two graph backends apply it, selected by the ``backend`` parameter:
 
 * ``"immutable"`` — every op builds a fresh :class:`repro.graphs.Graph`
   via :meth:`Graph.apply_updates` (touched-rows CSR rewrite, O(n + m)
-  buffer copies).  The engine never mutates a caller's graph, and
-  ``engine.graph`` keeps its identity semantics — a rejected op leaves
-  the *same object* in place.
+  buffer copies), committed only on success.  The engine never mutates
+  a caller's graph, and ``engine.graph`` keeps its identity semantics —
+  a rejected op leaves the *same object* in place.
 * ``"dynamic"`` — the engine owns a
   :class:`repro.graphs.dynamic.DynamicGraph` (slack-padded updatable
-  CSR) and applies deltas **in place**, O(Δ) per touched row.  This is
-  the streaming mode: ~μs delta application independent of n.
+  CSR) and applies deltas **in place**, O(Δ) per touched row, with an
+  undo token.  This is the streaming mode: ~μs delta application
+  independent of n.
 * ``"auto"`` (default) — start immutable, convert to an owned dynamic
   copy once the stream proves itself (two accepted ops).  One-shot
   facade calls (:func:`repro.api.solve_incremental`) stay on the
@@ -50,8 +52,10 @@ conversion copies, and ``engine.graph`` returns an immutable
 :meth:`~repro.graphs.dynamic.DynamicGraph.snapshot` (cached until the
 next mutation — cheap at stream end, O(n + m) if read every op; use
 ``colors_view()`` / ``last_dirty_region`` for per-op monitoring).
-Rejected and failed ops roll back both structures exactly: the graph
-via the delta undo log, the colors via the store journal.
+A ladder failure after the delta was applied (a Δ change or a stalled
+repair under ``allow_resolve=False``) rolls back both structures
+exactly: the graph via the undo token, the colors via the store
+journal.
 
 Every op returns an :class:`UpdateOutcome` with repair-locality stats
 (`recolored_count`, `max_repair_radius`, charged LOCAL `rounds`, the
@@ -60,16 +64,14 @@ per-mode counts), and the engine accumulates lifetime totals in
 ``benchmarks/bench_s2_incremental.py`` reports against fresh-solve
 latency.
 
-Rejected operations (typed, state unchanged):
-
-* inserting an edge that is already present — or twice in one batch —
-  :class:`repro.errors.EdgeAlreadyPresentError`;
-* deleting an edge that is not present — or twice in one batch —
-  :class:`repro.errors.EdgeNotPresentError`;
-* one edge appearing in both ``added`` and ``removed`` of a batch —
-  :class:`repro.errors.ConflictingUpdateError`;
-* any update that would change Δ when the engine was built with
-  ``allow_resolve=False`` — :class:`repro.errors.DeltaChangeError`.
+Rejected operations (typed, state unchanged): an illegal edge delta —
+an edge removed twice, added twice, both added and removed, removed
+but absent, added but present, out of range, a self-loop — raises the
+error :func:`repro.graphs.graph.check_edge_delta` picks before any
+mutation (``docs/INCREMENTAL.md`` tabulates the rule in check order);
+an update needing a re-solve when the engine was built with
+``allow_resolve=False`` raises :class:`repro.errors.DeltaChangeError`
+after the delta is undone.
 """
 
 from __future__ import annotations
@@ -78,14 +80,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.errors import (
-    ConflictingUpdateError,
-    DeltaChangeError,
-    EdgeAlreadyPresentError,
-    EdgeNotPresentError,
-    GraphError,
-    ReproError,
-)
+from repro.errors import DeltaChangeError, ReproError
 from repro.core.brooks import fix_uncolored_node
 from repro.core.colorstore import ColorStore
 from repro.graphs.dynamic import DynamicGraph
@@ -100,10 +95,6 @@ __all__ = ["IncrementalColoring", "UpdateOutcome"]
 
 #: Accepted ops after which ``backend="auto"`` converts to dynamic.
 AUTO_CONVERT_AFTER = 2
-
-#: Batch size above which membership probes switch from per-edge row
-#: scans to touched-row sets built once.
-MEMBERSHIP_SET_THRESHOLD = 3
 
 
 @dataclass
@@ -355,6 +346,10 @@ class IncrementalColoring:
         added: list[tuple[int, int]],
         removed: list[tuple[int, int]],
     ) -> UpdateOutcome:
+        """Apply the delta, then run the repair ladder once.  Any
+        :class:`ReproError` from the ladder (including
+        :class:`DeltaChangeError` under ``allow_resolve=False``) undoes
+        the delta and rolls back the color journal before re-raising."""
         started = time.perf_counter()
         if (
             self.backend == "auto"
@@ -364,14 +359,24 @@ class IncrementalColoring:
             # The stream proved itself: own a dynamic copy from here on.
             self._graph = DynamicGraph.from_graph(self._graph)
             self._is_dynamic = True
-        self._validate_delta(added, removed)
+        graph = self._graph
+        undo = None
+        if self._is_dynamic:
+            undo = graph.apply_delta(added, removed, record_undo=True)
+            new_graph = graph
+        else:
+            new_graph = graph.apply_updates(added, removed)
         outcome = UpdateOutcome(
             op=op, edges_added=len(added), edges_removed=len(removed)
         )
-        if self._is_dynamic:
-            dirty = self._apply_dynamic(added, removed, outcome)
-        else:
-            dirty = self._apply_immutable(added, removed, outcome)
+        try:
+            dirty = self._run_ladder(new_graph, added, outcome)
+        except ReproError:
+            if self._colors.in_transaction:
+                self._colors.rollback()
+            if undo is not None:
+                graph.undo_delta(undo)
+            raise
         self._last_dirty = sorted(dirty) if dirty is not None else None
         outcome.delta = self._delta
         outcome.palette = self.palette
@@ -389,22 +394,20 @@ class IncrementalColoring:
         self._accumulate(outcome)
         return outcome
 
-    def _apply_immutable(
+    def _run_ladder(
         self,
+        new_graph: Graph,
         added: list[tuple[int, int]],
-        removed: list[tuple[int, int]],
         outcome: UpdateOutcome,
     ) -> set[int] | None:
-        """Delta via :meth:`Graph.apply_updates`: a fresh graph object,
-        committed only on success — rejections leave the old identity."""
-        graph = self._graph
-        new_graph = graph.apply_updates(added, removed)
+        """Greedy → token walk → re-solve against the post-delta graph;
+        commits ``new_graph`` and returns the dirty region, or ``None``
+        after a full re-solve."""
         new_delta = new_graph.max_degree()
-        store = self._colors
-        dirty: set[int] | None = {v for edge in added for v in edge}
         if self._delta_moved(new_delta):
             self._resolve(new_graph, outcome, reason=f"delta {self._delta}->{new_delta}")
             return None
+        store = self._colors
         conflicts = [
             (u, v)
             for u, v in added
@@ -414,6 +417,7 @@ class IncrementalColoring:
         if conflicts and not self._spec_supports_incremental():
             self._resolve(new_graph, outcome, reason="algorithm-unsupported")
             return None
+        dirty = {v for edge in added for v in edge}
         if conflicts:
             uncolor = self._minimal_uncolor_set(conflicts, new_graph)
             store.begin()
@@ -432,69 +436,6 @@ class IncrementalColoring:
         self._delta = new_delta
         return dirty
 
-    def _apply_dynamic(
-        self,
-        added: list[tuple[int, int]],
-        removed: list[tuple[int, int]],
-        outcome: UpdateOutcome,
-    ) -> set[int] | None:
-        """Delta in place on the owned :class:`DynamicGraph`: O(Δ) per
-        touched row.  Failures after mutation undo the delta and roll
-        back the color journal, so rejections stay exact."""
-        dyn: DynamicGraph = self._graph
-        store = self._colors
-        new_delta = dyn.delta_after(added, removed)
-        resolve_reason: str | None = None
-        if self._delta_moved(new_delta):
-            # Policed before mutation: an allow_resolve=False engine must
-            # reject with its state untouched, no undo required.
-            if not self.allow_resolve:
-                raise DeltaChangeError(
-                    f"update needs a full re-solve (delta "
-                    f"{self._delta}->{new_delta}) but the engine was built "
-                    "with allow_resolve=False"
-                )
-            resolve_reason = f"delta {self._delta}->{new_delta}"
-            conflicts: list[tuple[int, int]] = []
-        else:
-            conflicts = [
-                (u, v)
-                for u, v in added
-                if store[u] == store[v] and store[u] != UNCOLORED
-            ]
-            outcome.conflicts = len(conflicts)
-            if conflicts and not self._spec_supports_incremental():
-                resolve_reason = "algorithm-unsupported"
-        undo = dyn.apply_delta(added, removed, record_undo=True, _validated=True)
-        try:
-            if resolve_reason is not None:
-                self._resolve(dyn, outcome, reason=resolve_reason)
-                return None
-            dirty: set[int] | None = {v for edge in added for v in edge}
-            if conflicts:
-                uncolor = self._minimal_uncolor_set(conflicts, dyn)
-                store.begin()
-                try:
-                    self._repair(dyn, store, uncolor, outcome)
-                except ReproError:
-                    store.rollback()
-                    # Repair stalled: last rung of the ladder (raises
-                    # DeltaChangeError under allow_resolve=False, which
-                    # the outer handler turns into an exact rollback).
-                    self._resolve(dyn, outcome, reason="repair-stalled")
-                    return None
-                changed = store.commit()
-                outcome.recolored_count = len(changed)
-                dirty.update(changed)
-            self._delta = new_delta
-            return dirty
-        except ReproError:
-            # Typed rejection after mutation: restore both structures.
-            if store.in_transaction:
-                store.rollback()
-            dyn.undo_delta(undo)
-            raise
-
     def _delta_moved(self, new_delta: int) -> bool:
         """Did the delta move the Δ-coloring contract itself?  A rise
         leaves the old colors proper but under-uses the new palette's
@@ -504,82 +445,6 @@ class IncrementalColoring:
         return (
             new_delta != self._delta and self.palette == self._delta
         ) or new_delta > self.palette
-
-    def _validate_delta(
-        self, added: list[tuple[int, int]], removed: list[tuple[int, int]]
-    ) -> None:
-        """The typed rejection contract, checked **before any mutation**.
-
-        Presence and batch-consistency violations get typed errors
-        (:class:`EdgeNotPresentError`, :class:`EdgeAlreadyPresentError`,
-        :class:`ConflictingUpdateError`); range errors and self-loops
-        keep their :class:`repro.errors.GraphError` identity from the
-        graph layer.  For batches past a few edges, membership probes
-        run against touched-row sets built once instead of re-scanning
-        a neighbour row per edge.
-        """
-        graph = self._graph
-        n = graph.n
-        if len(added) + len(removed) > MEMBERSHIP_SET_THRESHOLD:
-            rows: dict[int, set[int]] = {}
-            for u, v in added:
-                if 0 <= u < n and u not in rows:
-                    rows[u] = set(graph.neighbors_csr(u))
-            for u, v in removed:
-                if 0 <= u < n and u not in rows:
-                    rows[u] = set(graph.neighbors_csr(u))
-
-            def present(u: int, v: int) -> bool:
-                return v in rows[u]
-        else:
-
-            def present(u: int, v: int) -> bool:
-                return v in graph.neighbors_csr(u)
-
-        # Batch self-consistency first: a batch that names the same key
-        # twice is contradictory no matter what the graph holds, so the
-        # consistency error must win over any presence error.
-        removed_keys: set[tuple[int, int]] = set()
-        for u, v in removed:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise EdgeNotPresentError(
-                    f"cannot delete edge ({u}, {v}): already deleted in this batch"
-                )
-            removed_keys.add(key)
-        added_keys: set[tuple[int, int]] = set()
-        for u, v in added:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise ConflictingUpdateError(
-                    f"edge ({u}, {v}) appears in both added and removed"
-                )
-            if key in added_keys:
-                raise EdgeAlreadyPresentError(
-                    f"cannot insert edge ({u}, {v}): already present"
-                )
-            added_keys.add(key)
-        # Then presence against the live graph.
-        for u, v in removed:
-            if not (0 <= u < n and 0 <= v < n) or not present(u, v):
-                raise EdgeNotPresentError(
-                    f"cannot delete edge ({u}, {v}): not present"
-                )
-        for u, v in added:
-            if 0 <= u < n and 0 <= v < n and u != v and present(u, v):
-                raise EdgeAlreadyPresentError(
-                    f"cannot insert edge ({u}, {v}): already present"
-                )
-        # Range errors and self-loops keep their GraphError identity from
-        # the graph layer; on the immutable path Graph.apply_updates
-        # re-checks them anyway, on the dynamic path this pass is what
-        # lets apply_delta skip its own validation (_validated=True).
-        if self._is_dynamic:
-            for u, v in added:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise GraphError(f"self-loop at node {u} is not allowed")
 
     def _spec_supports_incremental(self) -> bool:
         cached = self._supports_inc

@@ -11,7 +11,7 @@ neighbours), the two neighbours are **marked**.
 The paper's parameters (b = 6 for Δ >= 4, b = 12 for Δ = 3; p = Δ^{-b})
 make the w.h.p. statements of Lemmas 23/31 true asymptotically but select
 essentially zero nodes at any feasible n; :func:`default_selection_probability`
-provides the practical preset (documented in DESIGN.md §4.5): p ≈ 1.3 /
+provides the practical preset: p ≈ 1.3 /
 E[|B_b(v)|], which maximises the survivor density of the backoff process.
 
 Backoff >= 5 is enforced: it guarantees marked nodes of distinct survivors

@@ -20,9 +20,9 @@ IV  Color DCC layers (8): B-layers in reverse; (9) B0's components by
 
 Variant differences (paper: r = O(1) for Δ >= 4 vs r = Θ(log log n) for
 Δ = O(1); engines of Theorems 18/19) are captured by
-:class:`RandomizedParams` presets; DESIGN.md §4.5 explains why the
-selection probability and radii use practical presets instead of the
-asymptotic constants, and how the counted-and-reported fallbacks keep the
+:class:`RandomizedParams` presets.  The selection probability and radii
+use practical presets instead of the asymptotic constants (see
+:mod:`repro.core.marking`), and counted-and-reported fallbacks keep the
 pipeline correct on every seed.
 """
 
@@ -63,8 +63,8 @@ class RandomizedParams:
     Δ >= 4 and Θ(log log n) for small Δ.
     ``backoff`` — marking backoff b (>= 5 enforced; paper: 6 or 12).
     ``selection_p`` — phase (4) selection probability (None = practical
-    preset ≈ 1.3/E|B_b|; the paper's Δ^{-b} is reported alongside in
-    EXPERIMENTS.md).
+    preset ≈ 1.3/E|B_b|; the paper's Δ^{-b} is reported alongside by the
+    ``bench_a1_backoff`` ablation).
     ``happiness_radius`` — the r of phase (5); None = auto-tuned so that
     the expected number of T-nodes within distance r is ≈ ``coverage_goal``.
     ``engine`` — per-layer list-coloring engine ("hybrid" matches Theorem

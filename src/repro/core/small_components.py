@@ -23,7 +23,7 @@ Lemmas 26/27 guarantee (under the paper's asymptotic parameters) that D_0
 is non-empty and the D-layers exhaust C.  With practical parameters either
 can fail on unlucky components; the implementation then falls back to
 solving C directly as a degree-list instance (fallbacks are counted and
-reported — see DESIGN.md §4.5).  The backoff >= 5 invariant of the marking
+reported).  The backoff >= 5 invariant of the marking
 process guarantees the fallback instance is feasible: marks of distinct
 T-nodes are never adjacent, so a component squeezed between marks always
 retains a DCC, a free node, or a degree-deficient node.

@@ -170,6 +170,7 @@ class FileContext:
     tree: ast.Module
     module: str | None
     options: dict[str, dict] = field(default_factory=dict)
+    root: Path | None = None
     _lines: list[str] | None = None
 
     @property

@@ -12,6 +12,7 @@ RPL004   wall-clock reads in fingerprint/digest construction
 RPL005   bare/overbroad ``except`` in journal/WAL/recovery code
 RPL006   raw subscripts on decoded wire-protocol dicts
 RPL007   ``_*_vectorized`` without a dispatched ``_*_python`` twin
+RPL008   a reference to a repo-root ``*.md`` file that does not exist
 =======  ==============================================================
 """
 
@@ -38,6 +39,7 @@ __all__ = [
     "TypedExceptInStorageRule",
     "ValidatedWireAccessRule",
     "FallbackPairRule",
+    "RootDocReferenceRule",
 ]
 
 
@@ -529,3 +531,42 @@ class FallbackPairRule(Rule):
             if isinstance(node, ast.Attribute) and node.attr == twin:
                 return True
         return False
+
+
+@register
+class RootDocReferenceRule(Rule):
+    """RPL008: a cited repo-root ``*.md`` file must exist.
+
+    A docstring or comment that sends the reader to a document is a dead
+    end once that document is gone.  A bare markdown file name (no
+    directory part) names a file at the repo root, which must exist;
+    paths such as ``docs/...`` are out of scope.
+    """
+
+    code = "RPL008"
+    name = "root-doc-exists"
+    rationale = "a pointer to a missing document is a dead end for the reader"
+
+    _REFERENCE = re.compile(r"(?<![\w/.-])([\w-]+(?:\.[\w-]+)*\.md)\b")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.root is None:
+            return
+        for number, text in enumerate(ctx.lines, start=1):
+            seen: set[str] = set()
+            for match in self._REFERENCE.finditer(text):
+                name = match.group(1)
+                if name in seen or (ctx.root / name).is_file():
+                    continue
+                seen.add(name)
+                yield Finding(
+                    path=ctx.display_path,
+                    line=number,
+                    col=match.start(1),
+                    code=self.code,
+                    message=f"{name} is cited but there is no {name} at the "
+                    "repo root — point at a document that exists or drop "
+                    "the reference",
+                    module=ctx.module,
+                    source=text.strip(),
+                )

@@ -156,6 +156,7 @@ def lint_file(
         tree=tree,
         module=module_name_for(path),
         options=config.rule_options,
+        root=config.root,
     )
     raw: list[Finding] = []
     for rule in active:

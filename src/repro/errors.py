@@ -65,22 +65,29 @@ class IncrementalUpdateError(ReproError):
     """
 
 
-class EdgeAlreadyPresentError(IncrementalUpdateError):
+class EdgeAlreadyPresentError(IncrementalUpdateError, GraphError):
     """Raised when an ``insert_edge`` names an edge the graph already has
-    (or one duplicated within a batch update)."""
+    (or one duplicated within a batch update).
+
+    Also a :class:`GraphError`: the graph layer raises it directly (see
+    :func:`repro.graphs.check_edge_delta`), so ``except GraphError``
+    callers keep working."""
 
 
-class EdgeNotPresentError(IncrementalUpdateError):
-    """Raised when a ``delete_edge`` names an edge the graph does not have."""
+class EdgeNotPresentError(IncrementalUpdateError, GraphError):
+    """Raised when a ``delete_edge`` names an edge the graph does not have
+    (or one removed twice within a batch update).  Also a
+    :class:`GraphError`, like :class:`EdgeAlreadyPresentError`."""
 
 
-class ConflictingUpdateError(IncrementalUpdateError):
+class ConflictingUpdateError(IncrementalUpdateError, GraphError):
     """Raised when one edge key appears in both the ``added`` and the
     ``removed`` list of a single batch update.
 
     Such a batch has no coherent meaning under atomic (set-at-once)
     delta semantics — it is neither an insert nor a delete — so it is
-    rejected outright rather than resolved by list order.
+    rejected outright rather than resolved by list order.  Also a
+    :class:`GraphError`, like :class:`EdgeAlreadyPresentError`.
     """
 
 

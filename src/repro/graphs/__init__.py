@@ -39,7 +39,7 @@ from repro.graphs.generators import (
     torus_grid,
 )
 from repro.graphs.dynamic import DynamicGraph
-from repro.graphs.graph import Graph, GraphBuilder, SubgraphView
+from repro.graphs.graph import Graph, GraphBuilder, SubgraphView, check_edge_delta
 from repro.graphs.properties import (
     assert_nice,
     girth_up_to,
@@ -59,6 +59,7 @@ __all__ = [
     "GraphBuilder",
     "SubgraphView",
     "DynamicGraph",
+    "check_edge_delta",
     "BlockDecomposition",
     "biconnected_components",
     "blocks_through",

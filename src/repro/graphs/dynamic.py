@@ -24,13 +24,18 @@ and delete **in place**:
   fresh power-of-two capacities (a relocation leaves ``old_cap`` holes
   but appends ``≥ 2·old_cap`` fresh slots, so holes can approach but
   never reach half the buffer — one third is the reachable trigger);
+* every delta is checked first by
+  :func:`repro.graphs.graph.check_edge_delta`, the one edge-delta
+  contract :meth:`Graph.apply_updates` also runs, so both
+  representations reject the same deltas with the same typed errors;
 * a degree histogram is maintained per op, so ``max_degree()`` — which
-  the incremental engine consults on *every* update to police the
-  Δ-coloring contract — is O(1) instead of O(n);
+  the incremental engine reads after *every* applied delta to police
+  the Δ-coloring contract — is O(1) instead of O(n);
 * ``apply_delta(..., record_undo=True)`` returns an undo token that
   restores the exact pre-delta rows (content, not layout), which is how
-  the engine keeps its "typed rejections leave state untouched" promise
-  even for failures discovered after mutation.
+  the engine keeps its "rejections leave state untouched" promise for
+  failures discovered after mutation (a Δ change under
+  ``allow_resolve=False``, a stalled repair).
 
 ``DynamicGraph`` subclasses :class:`Graph`, so everything written
 against the immutable interface keeps working: ``csr()`` compacts the
@@ -55,7 +60,7 @@ from array import array
 from collections.abc import Iterable
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, check_edge_delta
 
 __all__ = ["DynamicGraph", "DeltaUndo"]
 
@@ -174,6 +179,7 @@ class DynamicGraph(Graph):
         self._adj_sets = None
         self._max_degree = None
         self._min_degree = None
+        self._connected = None
         self._snapshot = None
 
     # -- cache discipline --------------------------------------------------
@@ -185,6 +191,7 @@ class DynamicGraph(Graph):
         self._adj = None
         self._adj_sets = None
         self._min_degree = None
+        self._connected = None
         self._snapshot = None
 
     # -- read interface (overrides answering from live rows) --------------
@@ -319,26 +326,21 @@ class DynamicGraph(Graph):
         removed: Iterable[tuple[int, int]] = (),
         *,
         record_undo: bool = False,
-        _validated: bool = False,
     ) -> DeltaUndo | None:
         """Apply a whole delta **in place**: O(vol of touched rows).
 
-        Validation matches :meth:`Graph.apply_updates` exactly (raises
-        :class:`GraphError` with the same messages, state untouched):
-        endpoints in range, no self-loops, removed edges present, added
-        edges absent, no key repeated within the batch or appearing in
-        both lists.  All checks run before the first mutation, so a
-        raising call never leaves a partial delta behind.
+        The delta is checked first by
+        :func:`repro.graphs.graph.check_edge_delta`, the same contract
+        :meth:`Graph.apply_updates` runs (same typed errors, same
+        messages), before the first mutation — a raising call never
+        leaves a partial delta behind.
 
         With ``record_undo=True`` returns a :class:`DeltaUndo` token for
-        :meth:`undo_delta`.  ``_validated`` skips the validation pass for
-        callers that already ran an equivalent one (the incremental
-        engine's typed-rejection layer does).
+        :meth:`undo_delta`.
         """
         added = list(added)
         removed = list(removed)
-        if not _validated:
-            self._validate_delta(added, removed)
+        check_edge_delta(self, added, removed)
         undo = None
         if record_undo:
             touched = {w for edge in added for w in edge}
@@ -382,36 +384,6 @@ class DynamicGraph(Graph):
         self._num_edges = undo.num_edges
         self._touch()
 
-    def delta_after(
-        self,
-        added: Iterable[tuple[int, int]],
-        removed: Iterable[tuple[int, int]],
-    ) -> int:
-        """The max degree the graph would have after the delta, without
-        applying it: O(touched) through the degree histogram."""
-        change: dict[int, int] = {}
-        for u, v in added:
-            change[u] = change.get(u, 0) + 1
-            change[v] = change.get(v, 0) + 1
-        for u, v in removed:
-            change[u] = change.get(u, 0) - 1
-            change[v] = change.get(v, 0) - 1
-        hist = self._deg_hist
-        lens = self._lens
-        adjusted: dict[int, int] = {}
-        top = self._dyn_max
-        for v, d in change.items():
-            old = lens[v]
-            new = old + d
-            adjusted[old] = adjusted.get(old, 0) - 1
-            adjusted[new] = adjusted.get(new, 0) + 1
-            if new > top:
-                top = new
-        d = top
-        while d > 0 and hist.get(d, 0) + adjusted.get(d, 0) <= 0:
-            d -= 1
-        return d
-
     def storage_stats(self) -> dict[str, int]:
         """Internal layout accounting (for tests and capacity planning)."""
         return {
@@ -423,37 +395,6 @@ class DynamicGraph(Graph):
         }
 
     # -- internals ---------------------------------------------------------
-
-    def _validate_delta(
-        self, added: list[tuple[int, int]], removed: list[tuple[int, int]]
-    ) -> None:
-        """The :meth:`Graph.apply_updates` validation contract, verbatim."""
-        n = self.n
-        for u, v in added + removed:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-        removed_keys: set[tuple[int, int]] = set()
-        for u, v in removed:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise GraphError(f"edge ({u}, {v}) removed twice in one update")
-            removed_keys.add(key)
-            if not self.has_edge(u, v):
-                raise GraphError(f"cannot remove edge ({u}, {v}): not present")
-        added_keys: set[tuple[int, int]] = set()
-        for u, v in added:
-            key = (u, v) if u < v else (v, u)
-            if key in added_keys:
-                raise GraphError(f"duplicate edge ({u}, {v}) in update batch")
-            if key in removed_keys:
-                raise GraphError(
-                    f"edge ({u}, {v}) both added and removed in one update"
-                )
-            added_keys.add(key)
-            if self.has_edge(u, v):
-                raise GraphError(f"cannot add edge ({u}, {v}): already present")
 
     def _bump_degree(self, v: int, new: int) -> None:
         hist = self._deg_hist

@@ -42,9 +42,14 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.errors import GraphError
+from repro.errors import (
+    ConflictingUpdateError,
+    EdgeAlreadyPresentError,
+    EdgeNotPresentError,
+    GraphError,
+)
 
-__all__ = ["Graph", "GraphBuilder", "SubgraphView"]
+__all__ = ["Graph", "GraphBuilder", "SubgraphView", "check_edge_delta"]
 
 
 class Graph:
@@ -75,6 +80,7 @@ class Graph:
         "_adj_sets",
         "_max_degree",
         "_min_degree",
+        "_connected",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -120,6 +126,7 @@ class Graph:
         self._adj_sets: list[set[int]] | None = None
         self._max_degree: int | None = None
         self._min_degree: int | None = None
+        self._connected: bool | None = None
 
     @classmethod
     def _from_csr(cls, n: int, offsets: array, indices: array, num_edges: int) -> "Graph":
@@ -138,6 +145,7 @@ class Graph:
         graph._adj_sets = None
         graph._max_degree = None
         graph._min_degree = None
+        graph._connected = None
         return graph
 
     # -- factory helpers -------------------------------------------------
@@ -312,10 +320,16 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph is connected (the empty graph counts as
-        connected, single-node graphs too)."""
-        if self.n <= 1:
-            return True
-        return len(self.connected_components()) == 1
+        connected, single-node graphs too).
+
+        Cached: one solve asks several times (the ``auto`` dispatch and
+        each engine's nice-graph precondition), and each answer is a
+        full BFS.  Only the boolean is kept, not the component lists, so
+        stored graphs do not grow.
+        """
+        if self._connected is None:
+            self._connected = self.n <= 1 or len(self.connected_components()) == 1
+        return self._connected
 
     def is_connected_without(self, removed: set[int]) -> bool:
         """True iff ``G - removed`` is connected (and non-empty or trivial).
@@ -404,90 +418,37 @@ class Graph:
         immutable); the node set is fixed — updates never grow ``n``
         (grow through :meth:`GraphBuilder.from_graph` instead).
 
-        Validation (raises :class:`GraphError`, leaving ``self`` usable):
-        endpoints in range, no self-loops, every removed edge must be
-        present, every added edge must be absent, no edge repeated
-        within the batch — including appearing in both lists at once (a
-        remove-and-re-add is a no-op; spell it as two calls if the
-        intermediate version matters).
+        The delta is checked first by :func:`check_edge_delta` (shared
+        with :meth:`repro.graphs.dynamic.DynamicGraph.apply_delta`); a
+        remove-and-re-add of one edge in one batch is rejected, so spell
+        it as two calls if the intermediate version matters.
 
-        Large deltas (more directed endpoints touched than remain
-        untouched) take a whole-buffer rebuild instead of span-by-span
-        copying — same result, better constants.
-
-        Row-order determinism: both internal paths produce the *same*
-        CSR buffers — every untouched row verbatim, every touched row in
-        its old order minus removals with additions appended in batch
-        order.  :class:`repro.graphs.dynamic.DynamicGraph` mirrors these
+        Row order: every untouched row verbatim, every touched row in its
+        old order minus removals with additions appended in batch order.
+        :class:`repro.graphs.dynamic.DynamicGraph` mirrors these
         semantics in place, which is what makes "updatable CSR equals
         immutable apply_updates, bit for bit" a testable contract.
         """
         added = list(added)
         removed = list(removed)
-        n = self.n
-        for u, v in added + removed:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
+        check_edge_delta(self, added, removed)
         to_remove: dict[int, set[int]] = {}
-        removed_keys: set[tuple[int, int]] = set()
         for u, v in removed:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise GraphError(f"edge ({u}, {v}) removed twice in one update")
-            removed_keys.add(key)
             to_remove.setdefault(u, set()).add(v)
             to_remove.setdefault(v, set()).add(u)
         to_add: dict[int, list[int]] = {}
-        added_keys: set[tuple[int, int]] = set()
         for u, v in added:
-            key = (u, v) if u < v else (v, u)
-            if key in added_keys:
-                raise GraphError(f"duplicate edge ({u}, {v}) in update batch")
-            if key in removed_keys:
-                raise GraphError(
-                    f"edge ({u}, {v}) both added and removed in one update"
-                )
-            added_keys.add(key)
             to_add.setdefault(u, []).append(v)
             to_add.setdefault(v, []).append(u)
+        n = self.n
         offsets, indices = self._offsets, self._indices
-        # Presence checks scan only the touched rows (O(deg) each).
-        for u, v in removed:
-            if v not in indices[offsets[u] : offsets[u + 1]]:
-                raise GraphError(f"cannot remove edge ({u}, {v}): not present")
-        for u, v in added:
-            if v in indices[offsets[u] : offsets[u + 1]]:
-                raise GraphError(f"cannot add edge ({u}, {v}): already present")
         touched = set(to_remove) | set(to_add)
-        touched_volume = sum(
-            offsets[v + 1] - offsets[v] for v in touched
-        ) + 2 * len(added)
         new_m = self._num_edges + len(added) - len(removed)
         new_offsets = self._shifted_offsets(n, offsets, touched, to_add, to_remove)
-        if touched_volume > len(indices) - touched_volume:
-            # Most of the volume moves anyway: rebuild every row in one
-            # pass (same row semantics as the span-copy path below, so
-            # the two branches stay bit-identical).
-            new_indices = array("i", bytes(4 * (2 * new_m)))
-            pos = 0
-            for v in range(n):
-                row_start, row_end = offsets[v], offsets[v + 1]
-                drop = to_remove.get(v)
-                if drop:
-                    row = [w for w in indices[row_start:row_end] if w not in drop]
-                else:
-                    row = indices[row_start:row_end].tolist()
-                row.extend(to_add.get(v, ()))
-                new_indices[pos : pos + len(row)] = array("i", row)
-                pos += len(row)
-            return Graph._from_csr(n, new_offsets, new_indices, new_m)
         new_indices = array("i", bytes(4 * (2 * new_m)))
-        ordered = sorted(touched)
         copy_from = 0  # source cursor (old buffer)
         copy_to = 0  # destination cursor (new buffer)
-        for v in ordered:
+        for v in sorted(touched):
             row_start, row_end = offsets[v], offsets[v + 1]
             if row_start > copy_from:  # bulk-copy the untouched span before v
                 span = row_start - copy_from
@@ -581,6 +542,53 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Graph(n={self.n}, m={self.num_edges}, Δ={self.max_degree()})"
+
+
+def check_edge_delta(
+    graph: Graph,
+    added: Sequence[tuple[int, int]],
+    removed: Sequence[tuple[int, int]],
+) -> None:
+    """The edge-delta contract: raise unless ``graph`` can take the delta.
+
+    :meth:`Graph.apply_updates` and
+    :meth:`repro.graphs.dynamic.DynamicGraph.apply_delta` (and through
+    them the incremental engine) call it before any mutation.  The first
+    failure wins, in this order: batch consistency (a key removed twice,
+    then per added edge a key also removed or added twice), removed
+    edges present (an out-of-range or self-loop removal is not present),
+    added edges absent, added edges in range and not self-loops.  Only
+    the last raises a plain :class:`GraphError`; the typed errors are
+    :class:`GraphError` subclasses too.
+    """
+    n = graph.n
+    removed_keys: set[tuple[int, int]] = set()
+    for u, v in removed:
+        key = (u, v) if u < v else (v, u)
+        if key in removed_keys:
+            raise EdgeNotPresentError(f"edge ({u}, {v}) removed twice in one update")
+        removed_keys.add(key)
+    added_keys: set[tuple[int, int]] = set()
+    for u, v in added:
+        key = (u, v) if u < v else (v, u)
+        if key in removed_keys:
+            raise ConflictingUpdateError(
+                f"edge ({u}, {v}) both added and removed in one update"
+            )
+        if key in added_keys:
+            raise EdgeAlreadyPresentError(f"duplicate edge ({u}, {v}) in update batch")
+        added_keys.add(key)
+    for u, v in removed:
+        if not (0 <= u < n and 0 <= v < n and u != v and v in graph.neighbors_csr(u)):
+            raise EdgeNotPresentError(f"cannot remove edge ({u}, {v}): not present")
+    for u, v in added:
+        if 0 <= u < n and 0 <= v < n and u != v and v in graph.neighbors_csr(u):
+            raise EdgeAlreadyPresentError(f"cannot add edge ({u}, {v}): already present")
+    for u, v in added:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")
 
 
 class SubgraphView:
@@ -681,10 +689,9 @@ class GraphBuilder:
     ) -> "GraphBuilder":
         """A builder pre-loaded with ``graph``'s edges (insertion order).
 
-        The bulk half of :meth:`Graph.apply_updates` and the escape hatch
-        for updates that must grow the node set.  ``skip_keys`` drops the
-        given ``(min, max)`` edge keys while copying — the caller promises
-        they exist (the update path validates presence first).
+        The escape hatch for updates that must grow the node set, which
+        :meth:`Graph.apply_updates` never does.  ``skip_keys`` drops the
+        given ``(min, max)`` edge keys while copying.
         """
         builder = cls(graph.n, dedup=dedup)
         us, vs, seen = builder._us, builder._vs, builder._seen

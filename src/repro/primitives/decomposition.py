@@ -1,9 +1,8 @@
 """Small-component solvers: gathering and low-diameter clustering.
 
 Lemma 24 (the shattering lemma) finishes the small leftover components of
-the randomized algorithms using network decompositions ((P3)/(P4)).  As
-documented in DESIGN.md §4.4, we substitute two simpler tools with the
-same LOCAL-model contract:
+the randomized algorithms using network decompositions ((P3)/(P4)).  We
+substitute two simpler tools with the same LOCAL-model contract:
 
 * **Leader gathering** — in LOCAL, a component of radius ρ can be solved
   exactly in 2ρ+1 rounds: flood the topology and the boundary colors to

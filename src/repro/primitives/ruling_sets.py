@@ -3,7 +3,7 @@
 An (α, β)-ruling set of a node set W in G is M ⊆ W with every two nodes of
 M at distance >= α and every node of W within distance β of M.  The paper
 uses four variants (Lemma 20); this module provides the engines we
-substitute for them (see DESIGN.md §4 for the substitution table):
+substitute for them:
 
 * :func:`ruling_forest_aglp` — deterministic (k, (k-1)·⌈log₂ n⌉) ruling set
   in (k-1)·⌈log₂ n⌉ rounds by the classic Awerbuch–Goldberg–Luby–Plotkin

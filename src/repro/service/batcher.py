@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -53,13 +52,11 @@ from repro.api.result import ColoringResult
 from repro.api.solver import SolverPool, apply_incremental, solve_many
 from repro.errors import ServiceOverloadedError, StaleParentError
 from repro.graphs.graph import Graph
-from repro.service.cache import ResultCache
 from repro.service.fingerprint import (
     config_fingerprint,
     request_fingerprint,
     update_fingerprint,
 )
-from repro.service.graphstore import GraphStore
 from repro.service.metrics import ServiceMetrics, error_kind
 from repro.service.storage import (
     StorageBundle,
@@ -172,12 +169,6 @@ class BatchingGateway:
         sheds *backlog*, proportionally to the work actually queued.
         ``None`` (the default) disables cost metering and admission is
         by request count alone.
-    cache / graph_store:
-        **Deprecated** since the storage API: pass ``storage=`` (a
-        config or a bundle) instead — see the migration table in
-        docs/API.md.  Still honoured, with a :class:`DeprecationWarning`:
-        the given instances are wrapped into an in-memory bundle, so
-        behavior is unchanged.
     tracer:
         The :class:`repro.obs.Tracer` child spans are recorded on
         (``gateway.cache_probe`` / ``gateway.coalesce_wait`` /
@@ -192,14 +183,12 @@ class BatchingGateway:
         self,
         workers: int = 1,
         *,
-        cache: ResultCache | None = None,
         metrics: ServiceMetrics | None = None,
         max_batch: int = 8,
         max_wait_s: float = 0.002,
         max_queue: int = 64,
         max_followers: int | None = None,
         max_cost: int | None = None,
-        graph_store: GraphStore | None = None,
         storage: "StorageConfig | StorageBundle | None" = None,
         tracer: Tracer | None = None,
     ):
@@ -212,23 +201,6 @@ class BatchingGateway:
         if max_cost is not None and max_cost < 1:
             raise ValueError(f"max_cost must be >= 1, got {max_cost}")
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        if cache is not None or graph_store is not None:
-            if storage is not None:
-                raise ValueError(
-                    "pass either storage= or the deprecated cache=/graph_store= "
-                    "kwargs, not both"
-                )
-            warnings.warn(
-                "BatchingGateway(cache=..., graph_store=...) is deprecated; "
-                "pass storage=StorageBundle(cache=..., graph_store=...) or a "
-                "StorageConfig (see docs/API.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            storage = StorageBundle(
-                cache=cache if cache is not None else ResultCache(),
-                graph_store=graph_store if graph_store is not None else GraphStore(),
-            )
         if storage is None:
             storage = StorageConfig()
         if isinstance(storage, StorageConfig):

@@ -30,9 +30,6 @@ from typing import Any
 from repro.api.config import SolverConfig
 from repro.api.result import ColoringResult
 from repro.errors import (
-    EdgeAlreadyPresentError,
-    EdgeNotPresentError,
-    GraphError,
     IncrementalUpdateError,
     ReproError,
     ServiceOverloadedError,
@@ -129,32 +126,20 @@ def _fallback_child_graph(
     """The post-delta graph for the stale-parent re-solve fallback.
 
     ``fallback_graph`` is the *parent* instance in any shape
-    :func:`graph_payload` accepts; the delta is applied locally (same
-    validation as the server's engine would run) to produce the child
-    the fallback ``solve`` uploads.  Presence/absence rejections keep
-    the update API's typed errors (the server path raises
-    :class:`EdgeAlreadyPresentError` / :class:`EdgeNotPresentError` for
-    the same deltas; the exception type must not depend on whether the
-    parent was still cached); range and self-loop errors keep their
-    :class:`GraphError` identity, exactly like the engine.
+    :func:`graph_payload` accepts; the delta is applied locally through
+    :meth:`Graph.apply_updates`, which runs the same edge-delta contract
+    as the server's engine, so a rejected delta raises the same typed
+    error whether or not the parent was still cached.
     """
     if not isinstance(fallback_graph, Graph):
         payload = graph_payload(fallback_graph)
         fallback_graph = Graph(
             payload["n"], [tuple(e) for e in payload["edges"]]
         )
-    try:
-        return fallback_graph.apply_updates(
-            added=[tuple(e) for e in edges_added],
-            removed=[tuple(e) for e in edges_removed],
-        )
-    except GraphError as exc:
-        message = str(exc)
-        if "already present" in message or "added and removed" in message:
-            raise EdgeAlreadyPresentError(message) from exc
-        if "not present" in message or "removed twice" in message:
-            raise EdgeNotPresentError(message) from exc
-        raise
+    return fallback_graph.apply_updates(
+        added=[tuple(e) for e in edges_added],
+        removed=[tuple(e) for e in edges_removed],
+    )
 
 
 def _update_request(

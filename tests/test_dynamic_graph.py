@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.graph import Graph
@@ -98,23 +97,6 @@ class TestInPlaceUpdates:
         dyn.delete_edge(0, 1)
         assert list(dyn.neighbors_csr(0)) == [2, 3]
 
-    def test_validation_matches_apply_updates_messages(self):
-        dyn = DynamicGraph(4, [(0, 1)])
-        with pytest.raises(GraphError, match="already present"):
-            dyn.insert_edge(0, 1)
-        with pytest.raises(GraphError, match="not present"):
-            dyn.delete_edge(1, 2)
-        with pytest.raises(GraphError, match="self-loop"):
-            dyn.insert_edge(2, 2)
-        with pytest.raises(GraphError, match="out of range"):
-            dyn.insert_edge(0, 9)
-        with pytest.raises(GraphError, match="removed twice"):
-            dyn.apply_delta(removed=[(0, 1), (1, 0)])
-        with pytest.raises(GraphError, match="both added and removed"):
-            dyn.apply_delta(added=[(0, 1)], removed=[(0, 1)])
-        # failed deltas leave no partial state behind
-        assert dyn.num_edges == 1 and dyn.has_edge(0, 1)
-
     def test_relocation_grows_overfull_rows(self):
         dyn = DynamicGraph(64, [(0, 1)])
         for v in range(2, 40):
@@ -149,15 +131,6 @@ class TestInPlaceUpdates:
         assert dyn.max_degree() == 1
         dyn.delete_edge(4, 5)
         assert dyn.max_degree() == 0
-
-    def test_delta_after_peeks_without_mutation(self):
-        dyn = DynamicGraph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
-        assert dyn.delta_after([(1, 2)], []) == 3
-        assert dyn.delta_after([(0, 4)], []) == 4
-        assert dyn.delta_after([], [(0, 1)]) == 2
-        assert dyn.delta_after([(1, 2)], [(0, 1)]) == 2
-        # peeks never touch the graph
-        assert dyn.max_degree() == 3 and dyn.num_edges == 4
 
 
 class TestUndo:

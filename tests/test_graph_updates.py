@@ -1,18 +1,18 @@
 """Tests for the graph layer's delta application.
 
 ``Graph.apply_updates`` (touched-rows-only CSR rewrite) and
-``GraphBuilder.from_graph`` (the bulk rebuild path) must be exactly
-equivalent to building the child graph from scratch — these are what the
-incremental-coloring engine trusts for every update op.
+``GraphBuilder.from_graph`` (the node-set-growing escape hatch) must be
+exactly equivalent to building the child graph from scratch — the
+incremental-coloring engine trusts the former for every update op.
+Rejected deltas are covered for every entry point at once in
+``test_delta_contract.py``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.graph import Graph, GraphBuilder
 
@@ -57,35 +57,9 @@ class TestApplyUpdates:
         assert g2.degree(u) == 3 and g2.degree(v) == 3
         assert g2.max_degree() == 4
 
-    def test_remove_missing_edge_rejected(self):
-        g = Graph(4, [(0, 1)])
-        with pytest.raises(GraphError, match="not present"):
-            g.apply_updates(removed=[(1, 2)])
-
-    def test_add_existing_edge_rejected(self):
-        g = Graph(4, [(0, 1)])
-        with pytest.raises(GraphError, match="already present"):
-            g.apply_updates(added=[(1, 0)])
-
-    def test_self_loop_and_range_rejected(self):
-        g = Graph(4, [(0, 1)])
-        with pytest.raises(GraphError, match="self-loop"):
-            g.apply_updates(added=[(2, 2)])
-        with pytest.raises(GraphError, match="out of range"):
-            g.apply_updates(added=[(0, 9)])
-
-    def test_batch_duplicates_rejected(self):
-        g = Graph(4, [(0, 1)])
-        with pytest.raises(GraphError, match="duplicate edge"):
-            g.apply_updates(added=[(1, 2), (2, 1)])
-        with pytest.raises(GraphError, match="removed twice"):
-            g.apply_updates(removed=[(0, 1), (1, 0)])
-        with pytest.raises(GraphError, match="both added and removed"):
-            g.apply_updates(added=[(0, 1)], removed=[(0, 1)])
-
     def test_bulk_path_matches_scratch_build(self):
-        # A delta touching most of the graph takes the GraphBuilder
-        # rebuild branch; result must still be exact.
+        # A delta touching most of the graph: the span-copy rewrite
+        # moves almost every row, and the result must still be exact.
         g = random_regular_graph(24, 4, seed=3)
         removed = list(g.edges())[::2]
         child = g.apply_updates(removed=removed)

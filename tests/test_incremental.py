@@ -218,8 +218,9 @@ class TestTypedRejections:
         assert engine.totals["ops"] == 0
 
     def test_dynamic_backend_delta_change_rejected_exactly(self):
-        # allow_resolve=False on the dynamic backend: the Δ-move check
-        # runs before mutation, so rejection is exact.
+        # allow_resolve=False on the dynamic backend: the Δ move is seen
+        # after the in-place delta, which the undo token must revert
+        # exactly.
         graph = random_regular_graph(24, 4, seed=1)
         result = solve(graph, seed=1)
         engine = IncrementalColoring.from_result(

@@ -406,6 +406,36 @@ class TestRPL007FallbackPair:
         assert findings == []
 
 
+class TestRPL008RootDocReference:
+    def test_missing_root_doc_flagged(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/core/engine.py",
+            '''
+            """The substitution is explained in DESIGN.md §4."""
+
+            # see EXPERIMENTS.md E3, and DESIGN.md again on this line
+            LIMIT = 3
+            ''',
+        )
+        assert codes(findings) == ["RPL008", "RPL008", "RPL008"]
+        assert [f.line for f in findings] == [2, 4, 4]
+        assert "DESIGN.md" in findings[0].message
+
+    def test_existing_root_doc_and_subdir_paths_not_flagged(self, tmp_path):
+        (tmp_path / "ROADMAP.md").write_text("# roadmap\n")
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/core/engine.py",
+            '''
+            """See ROADMAP.md, docs/API.md and ./docs/SERVICE.md."""
+
+            NAME = "report.mdx"
+            ''',
+        )
+        assert findings == []
+
+
 class TestSuppressions:
     VIOLATION = """
     import time

@@ -10,8 +10,6 @@ the deprecation shims on the old gateway kwargs.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import solve
@@ -197,18 +195,6 @@ class TestTieredStore:
 
 
 class TestGatewayStorageParam:
-    def test_legacy_kwargs_warn_and_still_work(self):
-        cache, store = ResultCache(max_entries=7), GraphStore(max_entries=5)
-        with pytest.warns(DeprecationWarning, match="storage="):
-            gateway = BatchingGateway(cache=cache, graph_store=store)
-        assert gateway.cache is cache and gateway.graph_store is store
-
-    def test_legacy_kwargs_conflict_with_storage(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                BatchingGateway(cache=ResultCache(), storage=StorageConfig())
-
     def test_bundle_injection_is_not_owned(self, tmp_path):
         bundle = StorageConfig(store_dir=tmp_path / "s").build()
         gateway = BatchingGateway(storage=bundle)
