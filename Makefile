@@ -5,7 +5,7 @@ PY := PYTHONPATH=src python
 .PHONY: test check lint typecheck bench-smoke bench-regression bench-sweep \
 	bench-million serve-smoke bench-service incremental-smoke \
 	bench-incremental shard-smoke bench-sharded obs-smoke bench-obs \
-	store-smoke bench-store
+	store-smoke bench-store ledger-selftest
 
 test:
 	$(PY) -m pytest -x -q
@@ -28,6 +28,15 @@ test:
 # instrumentation and the durable storage layer cannot rot
 # independently.
 check: test bench-regression serve-smoke incremental-smoke shard-smoke obs-smoke store-smoke
+
+# The benchmark's own correctness checks (perfledger/selftest.py): every
+# declared metric emitted with its unit on two seeds, traced and
+# untraced; a corrupted coloring fails the check path; no report from a
+# checkout without the program.  Runs the workloads at tiny scale
+# against src/, so a program change that breaks the benchmark fails
+# here (~100 s).
+ledger-selftest:
+	python3 -m pytest perfledger/selftest.py -q
 
 # Style + invariant gate.  Two layers: ruff (generic defect rules; CI
 # installs a pinned version, locally it is skipped if absent) and

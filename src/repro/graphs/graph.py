@@ -365,15 +365,21 @@ class Graph:
         of ``H``'s node ``i``.  Built through the unchecked CSR fast path:
         the induced rows of a simple graph are simple, so no validation
         passes run.
+
+        Rows are read from the ``adj`` cache when something already built
+        it (list rows scan faster than CSR views), and through
+        :meth:`neighbors_csr` otherwise: a small subgraph of a large graph
+        never materialises all n adjacency lists.
         """
         originals = sorted(set(nodes))
         k = len(originals)
         index = {v: i for i, v in enumerate(originals)}
-        adj = self.adj
+        adj = self._adj
+        row_of = adj.__getitem__ if adj is not None else self.neighbors_csr
         rows: list[list[int]] = []
         total = 0
         for v in originals:
-            row = [index[w] for w in adj[v] if w in index]
+            row = [index[w] for w in row_of(v) if w in index]
             total += len(row)
             rows.append(row)
         offsets = array("i", bytes(4 * (k + 1)))
