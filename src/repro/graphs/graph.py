@@ -364,18 +364,14 @@ class Graph:
         nodes relabeled ``0..k-1`` and ``originals[i]`` is the original index
         of ``H``'s node ``i``.  Built through the unchecked CSR fast path:
         the induced rows of a simple graph are simple, so no validation
-        passes run.
-
-        Rows are read from the ``adj`` cache when something already built
-        it (list rows scan faster than CSR views), and through
-        :meth:`neighbors_csr` otherwise: a small subgraph of a large graph
-        never materialises all n adjacency lists.
+        passes run.  Rows are read through :meth:`neighbors_csr`, so a
+        small subgraph of a large graph never materialises all n adjacency
+        lists.
         """
         originals = sorted(set(nodes))
         k = len(originals)
         index = {v: i for i, v in enumerate(originals)}
-        adj = self._adj
-        row_of = adj.__getitem__ if adj is not None else self.neighbors_csr
+        row_of = self.neighbors_csr
         rows: list[list[int]] = []
         total = 0
         for v in originals:

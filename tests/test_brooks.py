@@ -295,6 +295,8 @@ class TestWalkLocality:
             )
             if y is not None:
                 break
+        else:
+            pytest.fail("no update-stream instance with a deficient neighbour")
         engine.batch_update(removed=[(t, w)])
 
         reads = {"neighbors_csr": 0, "adj": 0}
